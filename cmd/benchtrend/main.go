@@ -22,7 +22,8 @@
 //
 // BENCH_latest.json is the rolling, gitignored output; the committed
 // snapshots (BENCH_pr3.json, BENCH_pr6.json, BENCH_pr8.json,
-// BENCH_pr10.json) are the frozen baselines it is compared against.
+// BENCH_pr10.json, BENCH_pr12.json) are the frozen baselines it is
+// compared against.
 // Since PR 10 the set also samples the verifiable-log proof paths
 // (append, membership generation/verification, consistency
 // verification) so proof cost per operation is tracked over time.

@@ -9,6 +9,11 @@
 //     ForProblem from a Problem's endowments and goods.
 //   - Transfer is one journal entry (who, what, when); the journal is
 //     append-only and replayable.
+//   - Ledger.Move moves a bundle with the funding check and conservation
+//     bookkeeping but no journal entry; Ledger.Transfer is Move plus the
+//     entry. The simulator books use Move, since a run's delivered
+//     trace already records every movement; twopc reads the journal and
+//     uses Transfer.
 //   - Balance returns defensive copies; CanPay pre-checks funding; the
 //     conservation audit asserts that total money and goods never change
 //     across any journal prefix (property-tested).

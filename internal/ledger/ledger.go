@@ -29,7 +29,8 @@ func (t Transfer) String() string {
 // party slot, and item holdings live in a single packed (party, item)
 // count table. Memory per principal is therefore flat — one Money cell,
 // one small held-items list, and a fraction of two probe tables — and a
-// funded transfer at steady state allocates only its journal entry.
+// funded Move at steady state allocates nothing (Transfer adds only its
+// journal entry).
 type Ledger struct {
 	parties *slab.Index[model.PartyID]
 	items   *slab.Index[model.ItemID]
@@ -154,9 +155,12 @@ func (l *Ledger) CanPay(id model.PartyID, b model.Bundle) bool {
 	return ok && l.contains(p, b)
 }
 
-// Transfer moves a bundle between accounts, journaling the entry. It
-// fails without mutation when the payer cannot fund it.
-func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle, memo string) error {
+// Move moves a bundle between accounts: the funding check and the
+// conservation bookkeeping, with no journal entry. It fails without
+// mutation when the payer cannot fund it. Callers that keep their own
+// record of the movements (the simulator's trace) use Move; at steady
+// state a funded Move allocates nothing.
+func (l *Ledger) Move(from, to model.PartyID, b model.Bundle) error {
 	if b.IsEmpty() {
 		return nil
 	}
@@ -180,6 +184,15 @@ func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle, memo string) e
 		i := l.itemSlot(it)
 		l.counts.Add(slab.PairKey(src, i), -1)
 		l.credit(dst, i, 1)
+	}
+	return nil
+}
+
+// Transfer is Move plus a journal entry for the movement; an empty
+// bundle moves and journals nothing.
+func (l *Ledger) Transfer(from, to model.PartyID, b model.Bundle, memo string) error {
+	if err := l.Move(from, to, b); err != nil || b.IsEmpty() {
+		return err
 	}
 	l.journal = append(l.journal, Transfer{
 		Seq: len(l.journal), From: from, To: to, Bundle: b.Clone(), Memo: memo,

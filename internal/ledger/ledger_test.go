@@ -74,6 +74,67 @@ func TestTransferErrors(t *testing.T) {
 	}
 }
 
+// Move is Transfer without the journal: the same funding checks, the
+// same errors, the same balances, and no entry.
+func TestMoveMatchesTransferWithoutJournal(t *testing.T) {
+	t.Parallel()
+	moved, journaled := twoAccounts(), twoAccounts()
+	for _, op := range []struct {
+		from, to model.PartyID
+		b        model.Bundle
+	}{
+		{"a", "b", model.Cash(30).With("d")},
+		{"a", "b", model.Cash(101)},
+		{"ghost", "b", model.Cash(1)},
+		{"a", "ghost", model.Cash(1)},
+		{"b", "a", model.Bundle{}},
+		{"b", "a", model.Goods("d")},
+		{"b", "a", model.Goods("d")},
+	} {
+		errM := moved.Move(op.from, op.to, op.b)
+		errT := journaled.Transfer(op.from, op.to, op.b, "memo")
+		if (errM == nil) != (errT == nil) || (errM != nil && errM.Error() != errT.Error()) {
+			t.Fatalf("%s→%s %v: Move = %v, Transfer = %v", op.from, op.to, op.b, errM, errT)
+		}
+	}
+	if a, b := moved.String(), journaled.String(); a != b {
+		t.Fatalf("balances diverge:\n%s\nvs\n%s", a, b)
+	}
+	if err := moved.Audit(); err != nil {
+		t.Fatalf("Audit = %v", err)
+	}
+	if j := moved.Journal(); len(j) != 0 {
+		t.Fatalf("Move journaled %v", j)
+	}
+	if j := journaled.Journal(); len(j) != 2 {
+		t.Fatalf("Transfer journaled %d entries, want 2 (the funded, non-empty ones)", len(j))
+	}
+}
+
+// Once every account and item is interned, a funded Move allocates
+// nothing: no memo, no bundle clone, no journal growth.
+func TestMoveZeroAlloc(t *testing.T) {
+	l := twoAccounts()
+	there, back := model.Cash(5).With("d"), model.Cash(5).With("d")
+	if err := l.Move("a", "b", there); err != nil {
+		t.Fatal(err)
+	}
+	if err := l.Move("b", "a", back); err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(1000, func() {
+		if err := l.Move("a", "b", there); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Move("b", "a", back); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if avg != 0 {
+		t.Fatalf("funded Move allocates %v allocs/op, want 0", avg)
+	}
+}
+
 func TestCanPay(t *testing.T) {
 	t.Parallel()
 	l := twoAccounts()

@@ -103,10 +103,16 @@ func (s *Service) proxyAnalyze(w http.ResponseWriter, r *http.Request, owner str
 	if err != nil {
 		return false
 	}
-	for _, h := range []string{"Content-Type", "Accept", "X-Trustd-Base", requestIDHeader} {
+	for _, h := range []string{"Content-Type", "Accept", "X-Trustd-Base"} {
 		if v := r.Header.Get(h); v != "" {
 			req.Header.Set(h, v)
 		}
+	}
+	// Forward the ID this node settled on, whether the client sent it or
+	// the traced middleware generated it, so the owner files its half of
+	// the request under the same ID.
+	if rt := traceFrom(r.Context()); rt != nil {
+		req.Header.Set(requestIDHeader, rt.id)
 	}
 	req.Header.Set(forwardedHeader, s.cluster.Self())
 	resp, err := s.peerClient.Do(req)

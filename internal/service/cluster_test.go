@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 
 	"trustseq/internal/cluster"
 	"trustseq/internal/model"
@@ -196,6 +197,55 @@ func TestClusterHopGuardNoLoop(t *testing.T) {
 	// The non-owner computed and cached it locally: one hop, no proxy.
 	if got := nonOwner.svc.CacheLen(); got != 1 {
 		t.Fatalf("non-owner cache holds %d entries, want 1", got)
+	}
+}
+
+// TestClusterProxyForwardsGeneratedRequestID: when the client sends no
+// request ID, the front node generates one, and the proxied hop must
+// carry that same ID, so the owner files its half of the request under
+// it rather than under a second, unrelated ID.
+func TestClusterProxyForwardsGeneratedRequestID(t *testing.T) {
+	a := startClusterNode(t, Options{})
+	b := startClusterNode(t, Options{})
+	formCluster(t, a, b)
+
+	p := mustLoad(t, feasibleSpec)
+	ownerAddr, ok := a.node.Owner(ProblemDigest(p))
+	if !ok {
+		t.Fatal("no owner on a 2-node ring")
+	}
+	front, owner := a, b
+	if ownerAddr == a.addr {
+		front, owner = b, a
+	}
+	resp, body := postAnalyze(t, front.addr, feasibleSpec, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d: %s", resp.StatusCode, body)
+	}
+	if got := resp.Header.Get("X-Trustd-Cluster"); got != "proxied" {
+		t.Fatalf("X-Trustd-Cluster = %q, want proxied", got)
+	}
+	id := resp.Header.Get(requestIDHeader)
+	if id == "" {
+		t.Fatal("front node assigned no request ID")
+	}
+	// The owner records its request once its handler returns, which can
+	// trail the relayed response by a moment.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		var ids []string
+		for _, rec := range owner.svc.reqlog.recentList() {
+			if rec.Endpoint == "analyze" {
+				ids = append(ids, rec.ID)
+			}
+		}
+		if len(ids) == 1 && ids[0] == id {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("owner recorded analyze requests %q, want exactly the front's ID %q", ids, id)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }
 

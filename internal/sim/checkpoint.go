@@ -636,6 +636,9 @@ func (rs *runtime) inject(data []byte) error {
 		if r.next < 0 || r.next > len(pn.script) || r.fired < 0 {
 			return fmt.Errorf("%w: principal %s cursor out of range", ErrCheckpointMismatch, r.id)
 		}
+		// The wait cursor is derived state and stays 0: the first
+		// tryFire after the restore rescans the current step's wait list
+		// once and carries on from there.
 		pn.next = r.next
 		pn.fired = r.fired
 		for _, a := range r.seen {
@@ -664,10 +667,10 @@ func (rs *runtime) replayLedger(trace, pending []Message) error {
 			continue
 		}
 		a := m.Action
-		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset(), a.String()); err != nil {
+		if err := rs.book.Move(a.Mover(), transitAccount, a.Asset()); err != nil {
 			return fmt.Errorf("%w: replaying trace: %v", ErrCheckpointCorrupt, err)
 		}
-		if err := rs.book.Transfer(transitAccount, a.Receiver(), a.Asset(), a.String()); err != nil {
+		if err := rs.book.Move(transitAccount, a.Receiver(), a.Asset()); err != nil {
 			return fmt.Errorf("%w: replaying trace: %v", ErrCheckpointCorrupt, err)
 		}
 	}
@@ -676,7 +679,7 @@ func (rs *runtime) replayLedger(trace, pending []Message) error {
 			continue
 		}
 		a := m.Action
-		if err := rs.book.Transfer(a.Mover(), transitAccount, a.Asset(), a.String()); err != nil {
+		if err := rs.book.Move(a.Mover(), transitAccount, a.Asset()); err != nil {
 			return fmt.Errorf("%w: replaying in-flight debits: %v", ErrCheckpointCorrupt, err)
 		}
 	}

@@ -203,7 +203,7 @@ func (n *TrustedNode) onTransfer(ctx *Context, a model.Action) {
 	// (a persona owner answering a recall). Un-deliver and retry refunds.
 	if a.Inverse {
 		for _, ei := range n.adjacent {
-			for _, r := range model.ReceiptActions(n.Problem.Exchanges[ei]) {
+			for _, r := range n.Problem.ReceiptActionsOf(ei) {
 				if r.Compensation() == a && n.delivered.get(ei) {
 					n.logApply(walEntry{op: walUndelivered, idx: ei})
 					n.retryRefunds(ctx)
@@ -274,7 +274,7 @@ func (n *TrustedNode) retryRefunds(ctx *Context) {
 		if n.delivered.get(ei) {
 			continue
 		}
-		for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
+		for _, d := range n.Problem.DepositActionsOf(ei) {
 			if n.received.has(d) && !n.refunded.has(d) {
 				if err := ctx.SendTransfer(d.Compensation()); err == nil {
 					n.logApply(walEntry{op: walRefunded, action: d})
@@ -297,7 +297,7 @@ func (n *TrustedNode) settleAfterAbort(ctx *Context) {
 			continue
 		}
 		allSent := true
-		for _, r := range model.ReceiptActions(n.Problem.Exchanges[ei]) {
+		for _, r := range n.Problem.ReceiptActionsOf(ei) {
 			if err := ctx.SendTransfer(r); err != nil {
 				allSent = false
 			}
@@ -322,7 +322,7 @@ func (n *TrustedNode) maybeForwardPersona(ctx *Context) {
 		// Forward when every item of the owner's Gets has arrived from
 		// the counterpart side.
 		ready := true
-		for _, r := range model.ReceiptActions(e) {
+		for _, r := range n.Problem.ReceiptActionsOf(ei) {
 			if r.Kind == model.ActionGive && !n.holdsItem(r.Item) {
 				ready = false
 			}
@@ -331,7 +331,7 @@ func (n *TrustedNode) maybeForwardPersona(ctx *Context) {
 			continue
 		}
 		n.logApply(walEntry{op: walDelivered, idx: ei})
-		for _, r := range model.ReceiptActions(e) {
+		for _, r := range n.Problem.ReceiptActionsOf(ei) {
 			if err := ctx.SendTransfer(r); err != nil {
 				n.logApply(walEntry{op: walUndelivered, idx: ei})
 				return
@@ -360,7 +360,7 @@ func (n *TrustedNode) maybeComplete(ctx *Context) {
 			continue
 		}
 		n.logApply(walEntry{op: walDelivered, idx: ei})
-		for _, r := range model.ReceiptActions(n.Problem.Exchanges[ei]) {
+		for _, r := range n.Problem.ReceiptActionsOf(ei) {
 			if err := ctx.SendTransfer(r); err != nil {
 				// Completion failure indicates a runner bug; surface via
 				// the runner's fault channel through a refund.
@@ -437,7 +437,7 @@ func (n *TrustedNode) offerAmount(off model.IndemnityOffer) model.Money {
 }
 
 func (n *TrustedNode) depositAttempted(ei int) bool {
-	for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
+	for _, d := range n.Problem.DepositActionsOf(ei) {
 		if !n.received.has(d) {
 			return false
 		}
@@ -455,7 +455,7 @@ func (n *TrustedNode) anyDepositReceived() bool {
 }
 
 func (n *TrustedNode) exchangeWhole(ei int) bool {
-	for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
+	for _, d := range n.Problem.DepositActionsOf(ei) {
 		if !n.received.has(d) || n.refunded.has(d) {
 			return false
 		}
@@ -465,7 +465,7 @@ func (n *TrustedNode) exchangeWhole(ei int) bool {
 
 func (n *TrustedNode) matchDeposit(a model.Action) (int, bool) {
 	for _, ei := range n.adjacent {
-		for _, d := range model.DepositActions(n.Problem.Exchanges[ei]) {
+		for _, d := range n.Problem.DepositActionsOf(ei) {
 			if d == a {
 				return ei, true
 			}
@@ -509,6 +509,15 @@ type PrincipalNode struct {
 
 	script []scriptStep
 	next   int
+	// waited counts the leading entries of script[next].waitFor already
+	// found in seen. Consecutive steps' waitFor lists are nested
+	// prefixes of one append-only list (BuildPrincipalNodes) and seen
+	// only grows, so the count stays valid as messages arrive and
+	// carries over to the next step. tryFire resumes its scan there,
+	// which keeps a shared producer's fan-out linear rather than
+	// quadratic. Derived state: checkpoints do not store it and a
+	// restored node starts at 0.
+	waited int
 	seen   actionSet
 	// seenTags is allocated lazily: tagged control messages only flow
 	// on the indemnity and recall paths, so most principals never pay
@@ -597,17 +606,10 @@ func NewPrincipalNode(plan *core.Plan, self model.PartyID, stopAfter int) *Princ
 //
 // defectors maps principals to their StopAfter bound; absent
 // principals are honest (StopAfter -1).
-// snapshotPrefix freezes the current contents of an append-only slice
-// without copying: the capacity cap makes the snapshot un-appendable,
-// and since the source only ever grows past its current length, the
-// shared prefix is immutable. The script builder leans on this — a
-// population producer observes thousands of actions across its steps,
-// and copying each step's cumulative prefix was the single largest
-// allocation in a large-population setup (~24 KB per principal).
-func snapshotPrefix[T any](s []T) []T {
-	return s[:len(s):len(s)]
-}
-
+//
+// Because each wait set is a snapshot of one growing list, a
+// principal's consecutive steps have nested waitFor prefixes; the
+// resumable wait scan in tryFire relies on that.
 func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*PrincipalNode {
 	p := plan.Problem
 	idx := make(map[model.PartyID]int32, len(p.Parties))
@@ -678,6 +680,17 @@ func BuildPrincipalNodes(plan *core.Plan, defectors map[model.PartyID]int) []*Pr
 		}
 	}
 	return nodes
+}
+
+// snapshotPrefix freezes the current contents of an append-only slice
+// without copying: the capacity cap makes the snapshot un-appendable,
+// and since the source only ever grows past its current length, the
+// shared prefix is immutable. The script builder leans on this — a
+// population producer observes thousands of actions across its steps,
+// and copying each step's cumulative prefix was the single largest
+// allocation in a large-population setup (~24 KB per principal).
+func snapshotPrefix[T any](s []T) []T {
+	return s[:len(s):len(s)]
 }
 
 // securingSignals returns, per covered item, the alternative
@@ -784,8 +797,7 @@ func (n *PrincipalNode) pumpRecalls(ctx *Context) {
 // still be returned; only when nothing was returnable, pay the owner's
 // own side instead.
 func (n *PrincipalNode) attemptRecall(ctx *Context, rc *recallState) {
-	e := n.Problem.Exchanges[rc.ei]
-	deposits := model.DepositActions(e)
+	deposits := n.Problem.DepositActionsOf(rc.ei)
 	if rc.mode != recallReturning {
 		paid := true
 		for _, d := range deposits {
@@ -800,7 +812,7 @@ func (n *PrincipalNode) attemptRecall(ctx *Context, rc *recallState) {
 	}
 	if rc.mode == recallUndecided || rc.mode == recallReturning {
 		all := true
-		for _, r := range model.ReceiptActions(e) {
+		for _, r := range n.Problem.ReceiptActionsOf(rc.ei) {
 			c := r.Compensation()
 			if rc.sent[c] {
 				continue
@@ -846,8 +858,8 @@ func (n *PrincipalNode) tryFire(ctx *Context) {
 			return // defection point reached
 		}
 		st := n.script[n.next]
-		for _, w := range st.waitFor {
-			if !n.seen.has(w) {
+		for ; n.waited < len(st.waitFor); n.waited++ {
+			if !n.seen.has(st.waitFor[n.waited]) {
 				return
 			}
 		}

@@ -102,7 +102,7 @@ type Result struct {
 func (r *Result) Completed() bool {
 	for ei := range r.Problem.Exchanges {
 		done := true
-		for _, a := range model.ReceiptActions(r.Problem.Exchanges[ei]) {
+		for _, a := range r.Problem.ReceiptActionsOf(ei) {
 			if !r.State.Has(a) || r.State.Has(a.Compensation()) {
 				done = false
 			}
@@ -197,15 +197,17 @@ func setupRun(plan *core.Plan, opts Options) (*runtime, error) {
 		NotifyDropRate: opts.NotifyDropRate, Faults: opts.Faults,
 		NotifyRetries: opts.NotifyRetries, RetryBase: opts.RetryBase, Obs: opts.Obs,
 	})
+	// The book moves without journaling: the delivered trace is the
+	// run's journal (ReplayBalances re-derives every balance from it).
 	net.setHooks(
 		func(m Message) error {
-			return book.Transfer(m.Action.Mover(), transitAccount, m.Action.Asset(), m.Action.String())
+			return book.Move(m.Action.Mover(), transitAccount, m.Action.Asset())
 		},
 		func(m Message) error {
 			if m.Kind != MsgTransfer {
 				return nil
 			}
-			return book.Transfer(transitAccount, m.Action.Receiver(), m.Action.Asset(), m.Action.String())
+			return book.Move(transitAccount, m.Action.Receiver(), m.Action.Asset())
 		},
 	)
 
