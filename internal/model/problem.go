@@ -487,6 +487,13 @@ func (p *Problem) validateIndemnity(off IndemnityOffer) error {
 		return fmt.Errorf("model: negative indemnity amount %v", off.Amount)
 	}
 	protected := p.Exchanges[off.Covers].Principal
+	// Section 6 forfeits the collateral when the protected principal
+	// provides its payment and the goods do not arrive. A covered
+	// exchange in which the principal gives nothing has no payment to
+	// observe: the forfeit condition would hold vacuously.
+	if p.Exchanges[off.Covers].Gives.IsEmpty() {
+		return fmt.Errorf("model: indemnity covers exchange %d, in which %s gives nothing", off.Covers, protected)
+	}
 	adj := func(principal PartyID) bool {
 		for _, e := range p.Exchanges {
 			if e.Trusted == off.Via && e.Principal == principal {

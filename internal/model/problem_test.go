@@ -92,6 +92,11 @@ func TestProblemValidateErrors(t *testing.T) {
 		{"indemnity offerer not adjacent", func(p *Problem) {
 			p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "p", Covers: 0, Via: "t1"})
 		}, "does not use trusted component"},
+		{"indemnity covers a payment-free exchange", func(p *Problem) {
+			p.Exchanges[0].Gives = Bundle{}
+			p.Exchanges[1].Gets = Bundle{}
+			p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "b", Covers: 0, Via: "t1"})
+		}, "c gives nothing"},
 		{"negative indemnity", func(p *Problem) {
 			p.Indemnities = append(p.Indemnities, IndemnityOffer{By: "b", Covers: 0, Via: "t1", Amount: -1})
 		}, "negative indemnity"},

@@ -2,6 +2,8 @@ package service
 
 import (
 	"container/list"
+	"crypto/sha256"
+	"encoding/binary"
 	"time"
 )
 
@@ -15,9 +17,27 @@ type cached struct {
 	at   time.Time // render time, feeding the cache-age stats
 }
 
+// front is one front-memo entry: everything the analyze path needs of
+// a problem before an engine runs. A request folds its own options into
+// h with optionsKey, so one entry serves every option set.
+type front struct {
+	h      fp128     // the problem-prefixed fingerprint state
+	digest [2]uint64 // h.sum(): the problem digest
+	hex    string    // FormatDigest(digest), the X-Trustd-Digest value
+}
+
+// frontKey is the front memo's key for a DSL source: the first 128
+// bits of its SHA-256. Byte-identical sources share an entry; any other
+// difference, whitespace included, gets its own.
+func frontKey(src []byte) [2]uint64 {
+	sum := sha256.Sum256(src)
+	return [2]uint64{binary.BigEndian.Uint64(sum[:8]), binary.BigEndian.Uint64(sum[8:16])}
+}
+
 // lru is a bounded LRU keyed by a [2]uint64 digest. The Service keeps
-// two: the result cache (request key → rendered bodies) and the base
-// cache (problem digest → plan, the incremental path's diff targets).
+// three: the result cache (request key → rendered bodies), the base
+// cache (problem digest → plan, the incremental path's diff targets)
+// and the front memo (source key → front).
 // It is not safe for concurrent use on its own; the Service serializes
 // access under its own mutex (every operation is O(1) map+list work, so
 // a single lock is never the bottleneck next to an engine run).

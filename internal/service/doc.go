@@ -10,8 +10,13 @@
 // POST /v1/analyze accepts a problem either as a raw .exch body or as a
 // JSON spec {"source": …, options…}; query parameters (?seq, ?verify,
 // ?crosscheck, ?simulate, ?seed, ?format=text) override body options.
-// The handler parses and compiles the source once (dsl.LoadReader +
-// model.Problem.Compile), derives the request's cache key, and then:
+// The handler first looks the source up in the front memo (bounded by
+// CacheEntries), keyed by the first 128 bits of the source's SHA-256.
+// A memo hit yields the problem's fingerprint state and digest with no
+// parse at all; a miss parses and compiles the source (dsl.LoadReader +
+// model.Problem.Compile), fingerprints it and fills the memo. Parse
+// errors answer 400 and are never memoized. The request folds its
+// options into the fingerprint state to get its cache key, and then:
 //
 //  1. cache hit — the stored body is replayed byte-for-byte
 //     (X-Trustd-Cache: hit);
@@ -19,7 +24,8 @@
 //     instead of starting another engine run (X-Trustd-Cache:
 //     coalesced; this is the singleflight collapse);
 //  3. otherwise a leader goroutine takes a slot on the bounded engine
-//     semaphore, runs the pipeline, renders both bodies (JSON and the
+//     semaphore, loads the source if a memo hit left the problem
+//     unloaded, runs the pipeline, renders both bodies (JSON and the
 //     trustseq-identical text), publishes to the LRU cache and wakes
 //     every waiter (X-Trustd-Cache: miss).
 //
@@ -43,8 +49,8 @@
 // # Concurrency and ownership
 //
 // A Service is safe for unbounded concurrent use. One mutex guards the
-// LRU cache and the in-flight table and is never held across an engine
-// run; engine parallelism is bounded only by the MaxConcurrent
+// LRU caches, the front memo and the in-flight table and is never held
+// across an engine run; engine parallelism is bounded only by the MaxConcurrent
 // semaphore. Cached bodies are immutable after insertion and shared by
 // reference — handlers must never mutate them. Telemetry follows the
 // repo-wide contract: counters (service.cache.hits/misses/evictions,
@@ -57,10 +63,10 @@
 // Every request carries an identity: X-Trustd-Request-Id is accepted
 // from the client when well-formed, generated otherwise, and always
 // echoed back. The handler pipeline records its stages (parse, compile,
-// cache, engine/patch, crosscheck, simulate, render) against the
+// cache, load, engine/patch, crosscheck, simulate, render) against the
 // request, surfaces them in a Server-Timing response header, and hands
-// the engine run a tracer fanning out into a bounded request-local ring
-// — so core/sequencing/search/petri spans land in the same record with
+// the engine run a tracer fanning out into a bounded request-local ring,
+// allocated only when an engine runs — so core/sequencing/search/petri spans land in the same record with
 // no process-wide sink. The slow-request log (slowlog.go) keeps a
 // bounded recent-request table for every request and the full span tree
 // for any request crossing the SlowLogMillis threshold; GET /v1/requests

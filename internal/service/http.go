@@ -13,8 +13,6 @@ import (
 	"strings"
 	"time"
 
-	"trustseq/internal/dsl"
-	"trustseq/internal/model"
 	"trustseq/internal/obs"
 	"trustseq/internal/sim"
 	"trustseq/internal/sweep"
@@ -110,22 +108,31 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt := traceFrom(r.Context())
+	// parse covers the body read, the option decoding and the front-memo
+	// lookup — plus the DSL load when the memo has not seen the source.
 	parse := rt.beginStage("parse")
 	// The body is read up front so the cluster path can replay it
-	// verbatim to the ring owner after parsing routed the request.
-	body, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	// verbatim to the ring owner after the digest routed the request.
+	body, err := readBody(r)
 	if err != nil {
 		rt.endStage(parse)
 		httpError(w, http.StatusBadRequest, fmt.Sprintf("reading body: %v", err))
 		return
 	}
-	p, opts, wantText, err := parseAnalyzeRequest(r, body)
+	src, opts, wantText, err := decodeAnalyzeRequest(r, body)
+	var in *analyzeInput
+	if err == nil {
+		in, err = s.loadFront(src)
+	}
 	rt.endStage(parse)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	if s.cluster != nil && s.routeAnalyze(w, r, p, body) {
+	cs := rt.beginStage("compile")
+	s.fingerprint(in)
+	rt.endStage(cs)
+	if s.cluster != nil && s.routeAnalyze(w, r, in.digest, body) {
 		return
 	}
 	// An If-Match-style base digest turns the request into an edit of a
@@ -140,9 +147,7 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		}
 		base = &d
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.opts.RequestTimeout)
-	defer cancel()
-	res, disposition, incremental, err := s.analyzeTraced(ctx, p, opts, base, rt)
+	res, disposition, incremental, err := s.analyzeTraced(r.Context(), in, opts, base, s.opts.RequestTimeout, rt)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -153,34 +158,51 @@ func (s *Service) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	rt.setDisposition(string(disposition), string(incremental))
+	h := w.Header()
 	if st := rt.serverTiming(); st != "" {
-		w.Header().Set("Server-Timing", st)
+		h.Set("Server-Timing", st)
 	}
-	w.Header().Set("X-Trustd-Cache", string(disposition))
+	h.Set("X-Trustd-Cache", string(disposition))
 	// The problem digest is this response's base handle: replay it in
 	// X-Trustd-Base after an edit to request the incremental path.
-	w.Header().Set("X-Trustd-Digest", FormatDigest(ProblemDigest(p)))
+	h.Set("X-Trustd-Digest", in.hex)
 	// The verifiable-log anchor ("<size>:<root>"): fetch
 	// /v1/proof/{digest} and verify it offline against this root.
-	w.Header().Set(logRootHeader, s.vl.rootHeader())
+	h.Set(logRootHeader, s.vl.rootHeader())
 	if incremental != "" {
-		w.Header().Set("X-Trustd-Incremental", string(incremental))
+		h.Set("X-Trustd-Incremental", string(incremental))
 	}
 	if wantText {
-		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		h.Set("Content-Type", "text/plain; charset=utf-8")
 		w.Write(res.text)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
+	h.Set("Content-Type", "application/json")
 	w.Write(res.json)
 }
 
-// parseAnalyzeRequest decodes either request form (body already read by
-// the handler, so cluster mode can replay it to the ring owner) into a
-// compiled-ready problem plus options, reporting whether the caller
-// wants the trustseq-identical text rendering.
-func parseAnalyzeRequest(r *http.Request, body []byte) (*model.Problem, AnalyzeOptions, bool, error) {
+// maxAnalyzeBody caps an analyze request body.
+const maxAnalyzeBody = 1 << 20
+
+// readBody reads the first maxAnalyzeBody bytes of an analyze request
+// body, in one allocation when the client declared its length.
+func readBody(r *http.Request) ([]byte, error) {
+	if n := r.ContentLength; n >= 0 && n <= maxAnalyzeBody {
+		body := make([]byte, n)
+		_, err := io.ReadFull(r.Body, body)
+		return body, err
+	}
+	return io.ReadAll(io.LimitReader(r.Body, maxAnalyzeBody))
+}
+
+// decodeAnalyzeRequest decodes either request form (body already read
+// by the handler, so cluster mode can replay it to the ring owner) into
+// the DSL source plus options, reporting whether the caller wants the
+// trustseq-identical text rendering. It does not parse the source: the
+// front memo may already know it.
+func decodeAnalyzeRequest(r *http.Request, body []byte) ([]byte, AnalyzeOptions, bool, error) {
 	var req analyzeRequest
+	src := body
 	ct := r.Header.Get("Content-Type")
 	if strings.HasPrefix(ct, "application/json") {
 		dec := json.NewDecoder(bytes.NewReader(body))
@@ -191,8 +213,7 @@ func parseAnalyzeRequest(r *http.Request, body []byte) (*model.Problem, AnalyzeO
 		if strings.TrimSpace(req.Source) == "" {
 			return nil, AnalyzeOptions{}, false, errors.New("JSON spec is missing \"source\"")
 		}
-	} else {
-		req.Source = string(body)
+		src = []byte(req.Source)
 	}
 	opts := req.AnalyzeOptions
 
@@ -209,23 +230,21 @@ func parseAnalyzeRequest(r *http.Request, body []byte) (*model.Problem, AnalyzeO
 	boolParam(&opts.Verify, "verify")
 	boolParam(&opts.CrossCheck, "crosscheck")
 	boolParam(&opts.Simulate, "simulate", "sim")
-	for name, dst := range map[string]*int64{"seed": &opts.SimSeed, "deadline": &opts.SimDeadline} {
-		if v := q.Get(name); v != "" {
+	for _, f := range [...]struct {
+		name string
+		dst  *int64
+	}{{"seed", &opts.SimSeed}, {"deadline", &opts.SimDeadline}} {
+		if v := q.Get(f.name); v != "" {
 			n, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {
-				return nil, AnalyzeOptions{}, false, fmt.Errorf("query parameter %s: %w", name, err)
+				return nil, AnalyzeOptions{}, false, fmt.Errorf("query parameter %s: %w", f.name, err)
 			}
-			*dst = n
+			*f.dst = n
 		}
 	}
 	wantText := q.Get("format") == "text" ||
 		strings.Contains(r.Header.Get("Accept"), "text/plain")
-
-	p, err := dsl.LoadReader(strings.NewReader(req.Source))
-	if err != nil {
-		return nil, AnalyzeOptions{}, false, err
-	}
-	return p, opts, wantText, nil
+	return src, opts, wantText, nil
 }
 
 // sweepRequest is the JSON request schema of POST /v1/sweep, a bounded

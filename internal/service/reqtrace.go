@@ -84,7 +84,9 @@ type reqTrace struct {
 	method   string
 	start    time.Time
 	stages   []stageRec
-	ring     *obs.RingSink
+	stageBuf [8]stageRec   // backs stages: a miss records at most 8
+	ring     *obs.RingSink // nil until an engine run asks for a tracer
+	events   int           // the ring's bound
 	status   int
 	dur      time.Duration
 	finished bool
@@ -92,15 +94,18 @@ type reqTrace struct {
 	inc      string
 }
 
-// newReqTrace opens a record; events bounds the span ring.
+// newReqTrace opens a record; events bounds the span ring, which is
+// allocated only if an engine runs for the request.
 func newReqTrace(id, endpoint, method string, events int) *reqTrace {
-	return &reqTrace{
+	rt := &reqTrace{
 		id:       id,
 		endpoint: endpoint,
 		method:   method,
 		start:    time.Now(),
-		ring:     obs.NewRingSink(events),
+		events:   events,
 	}
+	rt.stages = rt.stageBuf[:0]
+	return rt
 }
 
 // beginStage opens a named stage and returns its index (-1 on nil).
@@ -140,13 +145,20 @@ func (rt *reqTrace) setDisposition(cache, inc string) {
 
 // engineTelemetry derives the bundle an engine run should receive: the
 // service's metrics registry unchanged, and a tracer fanning out to
-// both the service-wide sink (when one exists) and this request's ring.
+// both the service-wide sink (when one exists) and this request's ring,
+// which the first call allocates.
 func (rt *reqTrace) engineTelemetry(base *obs.Telemetry) *obs.Telemetry {
-	if rt == nil || rt.ring == nil {
+	if rt == nil {
 		return base
 	}
+	rt.mu.Lock()
+	if rt.ring == nil {
+		rt.ring = obs.NewRingSink(rt.events)
+	}
+	ring := rt.ring
+	rt.mu.Unlock()
 	return &obs.Telemetry{
-		Tracer:  base.Trace().Fanout(rt.ring),
+		Tracer:  base.Trace().Fanout(ring),
 		Metrics: base.Reg(),
 	}
 }

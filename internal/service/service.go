@@ -1,6 +1,7 @@
 package service
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -11,6 +12,7 @@ import (
 
 	"trustseq/internal/cluster"
 	"trustseq/internal/core"
+	"trustseq/internal/dsl"
 	"trustseq/internal/indemnity"
 	"trustseq/internal/model"
 	"trustseq/internal/obs"
@@ -22,9 +24,10 @@ import (
 // Options configures a Service. The zero value is usable: every field
 // has a production default.
 type Options struct {
-	// CacheEntries bounds the content-addressed result cache. Default
-	// 512 entries; the minimum is 1 (a cache is load-bearing for the
-	// duplicate-collapse contract, so it cannot be disabled).
+	// CacheEntries bounds the content-addressed result cache, and the
+	// front memo that maps request sources to their problem digests.
+	// Default 512 entries; the minimum is 1 (a cache is load-bearing for
+	// the duplicate-collapse contract, so it cannot be disabled).
 	CacheEntries int
 	// BaseEntries bounds the base-plan cache serving incremental
 	// analysis (X-Trustd-Base): every successful run deposits its plan
@@ -194,9 +197,10 @@ type Service struct {
 	opts Options
 	sem  chan struct{}
 
-	mu     sync.Mutex // guards cache, bases and flight — never held across an engine run
+	mu     sync.Mutex // guards cache, bases, fronts and flight — never held across an engine run
 	cache  *lru[*cached]
 	bases  *lru[*core.Plan]
+	fronts *lru[front] // the front memo: frontKey(source) → fingerprint
 	flight map[[2]uint64]*call
 
 	// reqlog is the request flight recorder (slowlog.go); runtime feeds
@@ -211,6 +215,7 @@ type Service struct {
 	// Pre-interned counters: the analyze path must not take the
 	// registry lock per request.
 	cacheHits, cacheMisses, cacheEvictions *obs.Counter
+	frontHits, frontMisses                 *obs.Counter
 	collapsed, timeouts                    *obs.Counter
 	incPatched, incFull, incBaseMiss       *obs.Counter
 	slowRequests                           *obs.Counter
@@ -255,6 +260,7 @@ func New(opts Options) *Service {
 		sem:            make(chan struct{}, opts.MaxConcurrent),
 		cache:          newLRU[*cached](opts.CacheEntries),
 		bases:          newLRU[*core.Plan](opts.BaseEntries),
+		fronts:         newLRU[front](opts.CacheEntries),
 		flight:         make(map[[2]uint64]*call),
 		reqlog:         newRequestLog(opts.SlowLogMillis, opts.SlowLogEntries),
 		runtime:        obs.NewRuntime(),
@@ -262,6 +268,8 @@ func New(opts Options) *Service {
 		cacheHits:      reg.Counter("service.cache.hits"),
 		cacheMisses:    reg.Counter("service.cache.misses"),
 		cacheEvictions: reg.Counter("service.cache.evictions"),
+		frontHits:      reg.Counter("service.front.hits"),
+		frontMisses:    reg.Counter("service.front.misses"),
 		collapsed:      reg.Counter("service.flight.collapsed"),
 		timeouts:       reg.Counter("service.timeouts"),
 		incPatched:     reg.Counter("service.incremental.patched"),
@@ -331,24 +339,76 @@ func (s *Service) Analyze(ctx context.Context, p *model.Problem, opts AnalyzeOpt
 // edit (disposition full). Every successful run, incremental or not,
 // deposits its plan in the base cache for the next edit.
 func (s *Service) AnalyzeIncremental(ctx context.Context, p *model.Problem, opts AnalyzeOptions, base *[2]uint64) (*cached, cacheDisposition, IncrementalDisposition, error) {
-	return s.analyzeTraced(ctx, p, opts, base, nil)
+	in := &analyzeInput{p: p}
+	s.fingerprint(in)
+	return s.analyzeTraced(ctx, in, opts, base, 0, nil)
 }
 
-// analyzeTraced is the traced spine of Analyze/AnalyzeIncremental: when
-// rt is non-nil it records the compile and cache stages against the
+// analyzeInput is one request on the analyze path: the problem's hash
+// state and digest always (once fingerprint has run), the problem
+// itself only when something has loaded it. A front-memo hit carries no
+// problem at all; the leader of a run loads it from src the moment the
+// engines need it.
+type analyzeInput struct {
+	front
+	p      *model.Problem // nil on a front-memo hit
+	src    []byte         // the DSL source (nil on the plain API)
+	srcKey [2]uint64      // frontKey(src)
+}
+
+// loadFront resolves a request's DSL source against the front memo. A
+// hit returns the remembered fingerprint with no parse at all; a miss
+// loads the source, and fingerprint then fills the memo. Parse errors
+// are returned and never remembered.
+func (s *Service) loadFront(src []byte) (*analyzeInput, error) {
+	in := &analyzeInput{src: src, srcKey: frontKey(src)}
+	s.mu.Lock()
+	fr, ok := s.fronts.get(in.srcKey)
+	s.mu.Unlock()
+	if ok {
+		s.frontHits.Inc()
+		in.front = fr
+		return in, nil
+	}
+	s.frontMisses.Inc()
+	p, err := dsl.LoadReader(bytes.NewReader(src))
+	if err != nil {
+		return nil, err
+	}
+	in.p = p
+	return in, nil
+}
+
+// fingerprint completes an input whose problem is loaded: compile it
+// once (every engine below reuses the dense tables), stream its
+// fingerprint, and — for a request that arrived as source — remember
+// the result in the front memo. A memo hit (no problem) is left alone.
+func (s *Service) fingerprint(in *analyzeInput) {
+	if in.p == nil {
+		return
+	}
+	in.p.Compile()
+	h := newFP()
+	problemFingerprint(&h, in.p)
+	in.front = front{h: h, digest: h.sum()}
+	if in.src != nil {
+		in.hex = FormatDigest(in.digest)
+		s.mu.Lock()
+		s.fronts.put(in.srcKey, in.front)
+		s.mu.Unlock()
+	}
+}
+
+// analyzeTraced is the single spine of every analysis, plain API or
+// HTTP: when rt is non-nil it records the cache stage against the
 // request and (for the miss leader) threads a fan-out tracer through
 // the engine run. A nil rt costs a handful of nil checks — the plain
 // API paths and the disabled-telemetry benchmarks stay byte-for-byte.
-func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts AnalyzeOptions, base *[2]uint64, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
-	cs := rt.beginStage("compile")
-	p.Compile() // compile once; every engine below reuses the dense tables
-	h := newFP()
-	problemFingerprint(&h, p)
-	digest := h.sum()
-	key := optionsKey(h, opts)
-	rt.endStage(cs)
-
+// A positive timeout bounds the wait for a run on top of ctx; a cache
+// hit never waits, so it never arms a timer. in must be fingerprinted.
+func (s *Service) analyzeTraced(ctx context.Context, in *analyzeInput, opts AnalyzeOptions, base *[2]uint64, timeout time.Duration, rt *reqTrace) (*cached, cacheDisposition, IncrementalDisposition, error) {
 	ls := rt.beginStage("cache")
+	key := optionsKey(in.h, opts)
 	s.mu.Lock()
 	if c, ok := s.cache.get(key); ok {
 		s.mu.Unlock()
@@ -360,7 +420,7 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts Anal
 		s.mu.Unlock()
 		rt.endStage(ls)
 		s.collapsed.Inc()
-		return s.await(ctx, fl, dispositionCoalesced)
+		return s.await(ctx, fl, dispositionCoalesced, timeout)
 	}
 	var basePlan *core.Plan
 	var inc IncrementalDisposition
@@ -386,6 +446,7 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts Anal
 	// The leader's request trace rides along: its engine and render
 	// stages are recorded even if the leader stops waiting, so the
 	// slow-request log still explains where the time went.
+	digest := in.digest
 	go func() {
 		// In cluster mode a gossip fill hint may place the rendered
 		// bodies in a peer's cache: fetching them is far cheaper than an
@@ -400,7 +461,7 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts Anal
 			}
 		}
 		s.sem <- struct{}{}
-		val, plan, patched, err := s.compute(p, opts, basePlan, rt)
+		val, plan, patched, err := s.compute(in, opts, basePlan, rt)
 		<-s.sem
 		if basePlan != nil {
 			if patched {
@@ -413,7 +474,7 @@ func (s *Service) analyzeTraced(ctx context.Context, p *model.Problem, opts Anal
 		}
 		s.publish(fl, key, digest, val, plan, err)
 	}()
-	return s.await(ctx, fl, dispositionMiss)
+	return s.await(ctx, fl, dispositionMiss, timeout)
 }
 
 // publish deposits a finished run (engine or peer-fetched) into the
@@ -464,10 +525,15 @@ func (s *Service) publish(fl *call, key, digest [2]uint64, val *cached, plan *co
 }
 
 // await parks on an in-flight run until it publishes or the request's
-// own deadline fires. The disposition is only read on the publish path
-// (close(done) is the happens-before edge); a timed-out request reports
-// none.
-func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition) (*cached, cacheDisposition, IncrementalDisposition, error) {
+// own deadline (ctx, tightened by a positive timeout) fires. The
+// disposition is only read on the publish path (close(done) is the
+// happens-before edge); a timed-out request reports none.
+func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition, timeout time.Duration) (*cached, cacheDisposition, IncrementalDisposition, error) {
+	if timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, timeout)
+		defer cancel()
+	}
 	select {
 	case <-fl.done:
 		if fl.peer && d == dispositionMiss {
@@ -481,16 +547,32 @@ func (s *Service) await(ctx context.Context, fl *call, d cacheDisposition) (*cac
 }
 
 // compute runs the analysis pipeline for one request — incrementally
-// against basePlan when one is resident — and renders both response
+// against basePlan when one is resident, after loading the problem when
+// a front-memo hit left it unloaded — and renders both response
 // bodies. It is the only place engines run. The returned plan is the
 // request's deposit into the base cache; patched reports whether the
 // incremental path actually exploited the base. A non-nil rt (the miss
 // leader's request trace) receives the engine and render stages plus a
 // fan-out tracer, so core/sequencing/search/petri spans land in the
 // request's ring.
-func (s *Service) compute(p *model.Problem, opts AnalyzeOptions, basePlan *core.Plan, rt *reqTrace) (*cached, *core.Plan, bool, error) {
+func (s *Service) compute(in *analyzeInput, opts AnalyzeOptions, basePlan *core.Plan, rt *reqTrace) (*cached, *core.Plan, bool, error) {
 	if s.testComputeHook != nil {
 		s.testComputeHook()
+	}
+	p := in.p
+	if p == nil {
+		// A front-memo hit whose result is gone: load the source now.
+		// It parsed when the memo learned it, and dsl.Load is pure.
+		ls := rt.beginStage("load")
+		var err error
+		p, err = dsl.LoadReader(bytes.NewReader(in.src))
+		if err == nil {
+			p.Compile()
+		}
+		rt.endStage(ls)
+		if err != nil {
+			return nil, nil, false, &StatusError{Code: http.StatusBadRequest, Msg: err.Error()}
+		}
 	}
 	tel := rt.engineTelemetry(s.opts.Telemetry)
 	engineStage := "engine"

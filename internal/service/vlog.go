@@ -32,6 +32,7 @@ type serviceLog struct {
 	log    *vlog.Log
 	index  map[[2]uint64]uint64 // problem digest → latest leaf index
 	signer *vlog.Signer
+	root   string // the current "<size>:<root-hex>" anchor
 
 	appends, proofs, proofErrors *obs.Counter
 }
@@ -50,6 +51,7 @@ func newServiceLog(reg *obs.Registry) *serviceLog {
 	if signer, err := vlog.NewSigner(); err == nil {
 		sl.signer = signer
 	}
+	sl.root = sl.renderRoot()
 	return sl
 }
 
@@ -82,19 +84,26 @@ func (sl *serviceLog) append(digest, key [2]uint64, val *cached) {
 	sl.mu.Lock()
 	i := sl.log.Append(rec)
 	sl.index[digest] = i
+	sl.root = sl.renderRoot()
 	sl.mu.Unlock()
 	sl.appends.Inc()
 }
 
-// rootHeader renders the current "<size>:<root-hex>" anchor.
+// renderRoot formats the "<size>:<root-hex>" anchor. sl.mu must be held
+// (or sl not yet shared).
+func (sl *serviceLog) renderRoot() string {
+	return fmt.Sprintf("%d:%s", sl.log.Size(), sl.log.Root())
+}
+
+// rootHeader returns the current "<size>:<root-hex>" anchor, rendered
+// by the append that produced it — a cache hit pays no Merkle fold.
 func (sl *serviceLog) rootHeader() string {
 	if sl == nil {
 		return ""
 	}
 	sl.mu.Lock()
-	size, root := sl.log.Size(), sl.log.Root()
-	sl.mu.Unlock()
-	return fmt.Sprintf("%d:%s", size, root)
+	defer sl.mu.Unlock()
+	return sl.root
 }
 
 // publicKey returns the daemon's hex signing key, or "" when unsigned.

@@ -134,10 +134,26 @@ func TestProofMembershipRoundTrip(t *testing.T) {
 // Consistency proofs must verify across log growth, and a root captured
 // at size m must be provably a prefix of the root at size n.
 func TestProofConsistencyAcrossGrowth(t *testing.T) {
-	_, ts, _ := newTestService(t, Options{})
+	svc, ts, _ := newTestService(t, Options{})
+	// The anchor is rendered once per append; after each one it must be
+	// exactly what the log itself reports.
+	checkAnchor := func(resp *http.Response) {
+		t.Helper()
+		svc.vl.mu.Lock()
+		want := fmt.Sprintf("%d:%s", svc.vl.log.Size(), svc.vl.log.Root())
+		svc.vl.mu.Unlock()
+		if got := svc.vl.rootHeader(); got != want {
+			t.Fatalf("stored anchor %q, log reports %q", got, want)
+		}
+		if got := resp.Header.Get(logRootHeader); got != want {
+			t.Fatalf("%s: %q, log reports %q", logRootHeader, got, want)
+		}
+	}
 	resp1, _ := postSpec(t, ts.URL+"/v1/analyze", feasibleSpec)
+	checkAnchor(resp1)
 	_, oldRoot := parseRootHeader(t, resp1.Header.Get(logRootHeader))
 	resp2, _ := postSpec(t, ts.URL+"/v1/analyze", infeasibleSpec)
+	checkAnchor(resp2)
 	n, newRoot := parseRootHeader(t, resp2.Header.Get(logRootHeader))
 	if n != 2 {
 		t.Fatalf("log size after two analyses: %d", n)
